@@ -7,15 +7,18 @@
 //! * `gather`: deduped (index fan-out) vs raw (hash probe per lookup) at
 //!   duplicate ratios 1×, 2×, 8× — the skewed-trace regimes where batch
 //!   dedup pays.
+//! * `victim_pool_churn`: the LRU victim pool's per-plan insert / remove /
+//!   pop traffic at the `embed-cold` scratchpad size (13 500 slots).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use embeddings::store::DenseStore;
 use embeddings::{ops, TableBag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scratchpipe::SlotIndex;
+use scratchpipe::policy::VictimPool;
+use scratchpipe::{EvictionPolicy, SlotIndex};
 
 /// `n` distinct keys in insertion order, spread over a 4× larger domain.
 fn keys(n: usize, seed: u64) -> Vec<u64> {
@@ -174,5 +177,57 @@ fn bench_gather(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe, bench_insert_remove, bench_gather);
+/// One table's victim-pool traffic over `CYCLES` plan cycles, shaped like
+/// `embed-cold` under the paper window: every cycle re-pools the slots
+/// touched `past + 1 = 4` cycles earlier, re-protects (removes and
+/// touches) a quarter-batch of pooled slots, and pops one batch of
+/// victims, each touched as it is refilled.
+fn bench_pool_churn(c: &mut Criterion) {
+    const SLOTS: usize = 13_500;
+    const VICTIMS: usize = 1_450;
+    const CYCLES: u64 = 32;
+    let mut group = c.benchmark_group("victim_pool_churn");
+    group.throughput(Throughput::Elements(CYCLES * VICTIMS as u64));
+    group.bench_function(BenchmarkId::new("lru", SLOTS), |b| {
+        b.iter(|| {
+            let mut pool = VictimPool::new(SLOTS, EvictionPolicy::Lru);
+            for s in 0..SLOTS as u32 {
+                pool.insert(s);
+            }
+            let mut held: VecDeque<Vec<u32>> = VecDeque::new();
+            for cycle in 1..=CYCLES {
+                if held.len() == 4 {
+                    for s in held.pop_front().expect("four cycles held") {
+                        pool.insert(s);
+                    }
+                }
+                let mut touched = Vec::with_capacity(VICTIMS + VICTIMS / 4);
+                for k in 0..VICTIMS / 4 {
+                    let s = ((cycle as usize * 7_919 + k * 131) % SLOTS) as u32;
+                    if pool.contains(s) {
+                        pool.remove(s);
+                        pool.touch(s, cycle);
+                        touched.push(s);
+                    }
+                }
+                for _ in 0..VICTIMS {
+                    let s = pool.pop().expect("pool holds a victim");
+                    pool.touch(s, cycle);
+                    touched.push(s);
+                }
+                held.push_back(touched);
+            }
+            black_box(pool.len())
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_probe,
+    bench_insert_remove,
+    bench_gather,
+    bench_pool_churn
+);
 criterion_main!(benches);

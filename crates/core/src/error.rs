@@ -17,6 +17,18 @@ pub enum ScratchError {
         /// Configured slot count of the table's scratchpad.
         slots: usize,
     },
+    /// A mini-batch's `current` ID list named the same row twice, and the
+    /// second occurrence missed: the Plan stage would have mapped one row
+    /// into two slots. Plan expects each batch's IDs deduplicated (the
+    /// pipeline feeds `TableBag::unique_ids`).
+    DuplicateId {
+        /// Table whose ID list held the duplicate.
+        table: usize,
+        /// Plan cycle at which the duplicate was met.
+        cycle: u64,
+        /// The duplicated row ID.
+        row: u64,
+    },
     /// A hazard check failed — the pipeline was about to perform an access
     /// ordering that would corrupt training (only reachable when the
     /// sliding window is mis-configured, e.g. in the negative tests).
@@ -87,6 +99,10 @@ impl fmt::Display for ScratchError {
                 f,
                 "scratchpad of table {table} exhausted at plan cycle {cycle}: all {slots} slots held by the sliding window"
             ),
+            ScratchError::DuplicateId { table, cycle, row } => write!(
+                f,
+                "plan cycle {cycle}: row {row} of table {table} appears twice in one batch's ID list"
+            ),
             ScratchError::HazardViolation { detail } => {
                 write!(f, "pipeline hazard violation: {detail}")
             }
@@ -141,6 +157,14 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("table 3") && s.contains("cycle 17") && s.contains("128"));
+
+        let e = ScratchError::DuplicateId {
+            table: 1,
+            cycle: 4,
+            row: 99,
+        };
+        let s = e.to_string();
+        assert!(s.contains("row 99") && s.contains("table 1") && s.contains("cycle 4"));
 
         let e = ScratchError::HazardViolation {
             detail: "stale read".to_owned(),

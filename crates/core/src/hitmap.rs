@@ -80,6 +80,13 @@ impl HitMap {
         assert!(prev.is_none(), "id {id} already cached in slot {prev:?}");
     }
 
+    /// Maps `id` to `slot`, returning the slot it was mapped to before, if
+    /// any — the non-panicking [`HitMap::insert`] Plan uses, so a duplicate
+    /// ID surfaces as an error without a second probe.
+    pub(crate) fn remap(&mut self, id: u64, slot: u32) -> Option<u32> {
+        self.map.insert(id, slot)
+    }
+
     /// Removes the mapping for `id`, returning its slot.
     pub fn remove(&mut self, id: u64) -> Option<u32> {
         self.map.remove(id)

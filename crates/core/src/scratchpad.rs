@@ -16,10 +16,13 @@
 //!    (evictions), and the full ID→slot assignment the \[Train\] stage
 //!    will use.
 //!
-//! Victim selection is `O(log n)` via expiry buckets: whenever a slot is
-//! protected, the cycle at which its Hold mask clears is computed and the
-//! slot is queued in a bucket for that cycle; each `plan` drains the due
-//! buckets into the policy-ordered pool.
+//! Victim bookkeeping is bucketed twice. Whenever a slot is protected, the
+//! cycle at which its Hold mask clears is computed and the slot is queued
+//! in an expiry bucket for that cycle; each `plan` drains the due buckets
+//! into the [`VictimPool`], itself a priority-bucket queue with lazy
+//! deletion. Under LRU both are amortized `O(1)` per slot — a pool insert
+//! lands in the newest priority bucket and a victim pop drains the oldest
+//! — and re-protecting a pooled slot only clears its membership flag.
 
 use std::collections::VecDeque;
 
@@ -247,11 +250,9 @@ impl ScratchpadManager {
             };
             self.expiry_base += 1;
             for slot in bucket {
-                // A later re-protection may have superseded this entry.
-                if self.hold.is_clear(slot)
-                    && self.slot_row[slot as usize].is_some()
-                    && !self.pool.contains(slot)
-                {
+                // A later re-protection may have superseded this entry;
+                // `insert` ignores a slot that is already pooled.
+                if self.hold.is_clear(slot) && self.slot_row[slot as usize].is_some() {
                     self.pool.insert(slot);
                 }
             }
@@ -288,7 +289,11 @@ impl ScratchpadManager {
     /// # Errors
     ///
     /// Returns [`ScratchError::CapacityExhausted`] if a miss finds no free
-    /// or evictable slot — the §VI-D provisioning rule was violated.
+    /// or evictable slot — the §VI-D provisioning rule was violated — and
+    /// [`ScratchError::DuplicateId`] if an ID that missed earlier in
+    /// `current` occurs again (a duplicate of an already-cached ID plans
+    /// as repeated hits on one slot). Either error leaves the plans made
+    /// before it in place and every mapping consistent.
     pub fn plan(&mut self, current: &[u64], futures: &[&[u64]]) -> Result<TablePlan, ScratchError> {
         self.hold.advance();
         let now = self.hold.cycle();
@@ -353,14 +358,34 @@ impl ScratchpadManager {
                         });
                     }
                 };
-                if let Some(old_row) = self.slot_row[slot as usize] {
+                let old_row = self.slot_row[slot as usize];
+                if let Some(old_row) = old_row {
                     let removed = self.hit_map.remove(old_row);
                     debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
+                }
+                if let Some(first) = self.hit_map.remap(id, slot) {
+                    // An earlier occurrence of `id` in `current` already
+                    // missed and claimed `first`: undo this miss's slot
+                    // claim and refuse the batch.
+                    self.hit_map.remap(id, first);
+                    match old_row {
+                        Some(old_row) => {
+                            self.hit_map.insert(old_row, slot);
+                            self.pool.insert(slot);
+                        }
+                        None => self.free.push(slot),
+                    }
+                    return Err(ScratchError::DuplicateId {
+                        table: usize::MAX, // caller contextualizes
+                        cycle: now,
+                        row: id,
+                    });
+                }
+                if let Some(old_row) = old_row {
                     out.evictions.push(Evict { row: old_row, slot });
                     self.stats.evictions += 1;
                 }
                 self.slot_row[slot as usize] = Some(id);
-                self.hit_map.insert(id, slot);
                 self.pool.touch(slot, now);
                 self.protect(slot, past_bit);
                 out.fills.push(Fill { row: id, slot });

@@ -32,7 +32,7 @@ use crate::backend::DenseBackend;
 use crate::error::ScratchError;
 use crate::faults::FaultInjector;
 use crate::recovery::TableUndo;
-use crate::scratchpad::{ScratchpadManager, TablePlan};
+use crate::scratchpad::ScratchpadManager;
 use crate::stages::{self, StagePayload, TrainArena};
 use crate::telemetry::{Lane, RunTelemetry};
 use crate::workers::WorkerPool;
@@ -260,54 +260,6 @@ impl PlanStage {
     pub(crate) fn managers_mut(&mut self) -> &mut [ScratchpadManager] {
         &mut self.managers
     }
-
-    /// Asserts the paper's sliding-window guarantee: an evicted row must
-    /// not be referenced by any batch in the hazard window
-    /// `[i-past, i-1] ∪ [i+1, i+future]` — otherwise a RAW-②/③ (pending
-    /// scratchpad write) or RAW-④ (pending CPU write-back racing a
-    /// re-fetch) would occur in the pipeline.
-    fn check_victim_safety(
-        i: usize,
-        plans: &[TablePlan],
-        uniq: &[Vec<Vec<u64>>],
-    ) -> Result<(), ScratchError> {
-        let past = 3usize; // stage distance Train←Collect in this pipeline
-        let future = 2usize; // stage distance Insert→Collect
-        for (t, plan) in plans.iter().enumerate() {
-            for ev in &plan.evictions {
-                let lo = i.saturating_sub(past);
-                for (j, u) in uniq.iter().enumerate().skip(lo).take(i - lo) {
-                    if u[t].binary_search(&ev.row).is_ok() {
-                        return Err(ScratchError::HazardViolation {
-                            detail: format!(
-                                "plan {i} evicts row {} of table {t}, still referenced by \
-                                 in-flight batch {j} (RAW-2/3)",
-                                ev.row
-                            ),
-                        });
-                    }
-                }
-                let hi = (i + future).min(uniq.len() - 1);
-                for (j, u) in uniq
-                    .iter()
-                    .enumerate()
-                    .skip(i + 1)
-                    .take(hi.saturating_sub(i))
-                {
-                    if u[t].binary_search(&ev.row).is_ok() {
-                        return Err(ScratchError::HazardViolation {
-                            detail: format!(
-                                "plan {i} evicts row {} of table {t}, needed by upcoming \
-                                 batch {j} (RAW-4)",
-                                ev.row
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Stage for PlanStage {
@@ -328,7 +280,7 @@ impl Stage for PlanStage {
             self.future_depth,
         )?;
         if self.check_hazards && ctx.pipelined {
-            Self::check_victim_safety(ctx.index, &plans, ctx.uniq)?;
+            stages::check_victim_safety(ctx.index, &plans, ctx.uniq)?;
         }
         payload.rearm(ctx.index, plans);
         payload.traffic.plan = traffic;

@@ -361,7 +361,9 @@ impl TrainArena {
 /// # Errors
 ///
 /// Returns [`ScratchError::CapacityExhausted`] (tagged with the failing
-/// table) if a scratchpad cannot hold the window's working set.
+/// table) if a scratchpad cannot hold the window's working set, and
+/// [`ScratchError::DuplicateId`] (likewise tagged) if a `uniq[i][t]`
+/// repeats an ID.
 pub fn plan(
     managers: &mut [ScratchpadManager],
     batch: &SparseBatch,
@@ -383,6 +385,11 @@ pub fn plan(
                     slots,
                 }
             }
+            ScratchError::DuplicateId { cycle, row, .. } => ScratchError::DuplicateId {
+                table: t,
+                cycle,
+                row,
+            },
             other => other,
         })?;
         index_lookups(&mut plan, batch.bag(t));
@@ -399,6 +406,118 @@ pub fn plan(
     }
     traffic.pcie_ops += 1;
     Ok((plans, traffic))
+}
+
+/// Batches behind plan `i` whose Train may still read or write a slot
+/// Plan `i` evicts: the stage distance Train←Collect in this pipeline.
+const SAFETY_PAST: usize = 3;
+/// Batches after plan `i` whose Collect may re-fetch a row Plan `i`
+/// writes back: the stage distance Insert→Collect.
+const SAFETY_FUTURE: usize = 2;
+
+/// The victim-safety half of the hazard checker. Asserts the paper's
+/// sliding-window guarantee for plan `i`: an evicted row must not be
+/// referenced by any batch in the hazard window
+/// `[i-past, i-1] ∪ [i+1, i+future]` — otherwise a RAW-②/③ (pending
+/// scratchpad write) or RAW-④ (pending CPU write-back racing a re-fetch)
+/// would occur in the pipeline.
+///
+/// Each table's evicted rows are sorted once and merged linearly against
+/// every window batch's sorted `uniq[j][t]`. Only a table the merges
+/// flag is searched eviction by eviction, so the error names the
+/// violation an exhaustive scan in (table, eviction, window batch) order
+/// meets first — past batches ascending, then future batches ascending.
+///
+/// # Errors
+///
+/// Returns [`ScratchError::HazardViolation`] naming the plan, row,
+/// table, referencing batch and RAW class.
+pub fn check_victim_safety(
+    i: usize,
+    plans: &[TablePlan],
+    uniq: &[Vec<Vec<u64>>],
+) -> Result<(), ScratchError> {
+    let lo = i.saturating_sub(SAFETY_PAST);
+    let hi = (i + SAFETY_FUTURE).min(uniq.len() - 1);
+    let mut evicted: Vec<u64> = Vec::new();
+    for (t, plan) in plans.iter().enumerate() {
+        if plan.evictions.is_empty() {
+            continue;
+        }
+        evicted.clear();
+        evicted.extend(plan.evictions.iter().map(|ev| ev.row));
+        evicted.sort_unstable();
+        let mut window = (lo..i).chain(i + 1..=hi).map(|j| uniq[j][t].as_slice());
+        let mut collides = false;
+        while let Some(a) = window.next() {
+            collides |= shares_a_row(&evicted, a, window.next().unwrap_or_default());
+        }
+        if collides {
+            return Err(first_violation(i, t, plan, uniq, lo, hi));
+        }
+    }
+    Ok(())
+}
+
+/// True if ascending `rows` shares a value with ascending `a` or `b`.
+/// Each linear merge is a chain of dependent loads and compares; running
+/// two side by side lets the CPU overlap the chains.
+fn shares_a_row(rows: &[u64], a: &[u64], b: &[u64]) -> bool {
+    let (mut ra, mut ia, mut rb, mut ib) = (0, 0, 0, 0);
+    let mut hit = false;
+    while ra < rows.len() && ia < a.len() && rb < rows.len() && ib < b.len() {
+        hit |= merge_step(rows, a, &mut ra, &mut ia) | merge_step(rows, b, &mut rb, &mut ib);
+    }
+    while ra < rows.len() && ia < a.len() {
+        hit |= merge_step(rows, a, &mut ra, &mut ia);
+    }
+    while rb < rows.len() && ib < b.len() {
+        hit |= merge_step(rows, b, &mut rb, &mut ib);
+    }
+    hit
+}
+
+/// One branch-free step of the linear merge of ascending `rows` and `ids`
+/// at cursors `r` and `k`: advances past the smaller value (both on a
+/// tie) and reports the tie.
+#[inline(always)]
+fn merge_step(rows: &[u64], ids: &[u64], r: &mut usize, k: &mut usize) -> bool {
+    let (x, y) = (rows[*r], ids[*k]);
+    *r += usize::from(x <= y);
+    *k += usize::from(y <= x);
+    x == y
+}
+
+/// The first violation of table `t` in (eviction, window batch) order;
+/// only called once the merges found one.
+fn first_violation(
+    i: usize,
+    t: usize,
+    plan: &TablePlan,
+    uniq: &[Vec<Vec<u64>>],
+    lo: usize,
+    hi: usize,
+) -> ScratchError {
+    for ev in &plan.evictions {
+        let row = ev.row;
+        if let Some(j) = (lo..i).find(|&j| uniq[j][t].binary_search(&row).is_ok()) {
+            return ScratchError::HazardViolation {
+                detail: format!(
+                    "plan {i} evicts row {row} of table {t}, still referenced by \
+                     in-flight batch {j} (RAW-2/3)"
+                ),
+            };
+        }
+        if let Some(j) = (i + 1..=hi).find(|&j| uniq[j][t].binary_search(&row).is_ok()) {
+            return ScratchError::HazardViolation {
+                detail: format!(
+                    "plan {i} evicts row {row} of table {t}, needed by upcoming \
+                     batch {j} (RAW-4)"
+                ),
+            };
+        }
+    }
+    unreachable!("the merge reported a collision in table {t} that no eviction has")
 }
 
 /// Fills [`TablePlan::lookup_unique`]: for every raw lookup of `bag` (in

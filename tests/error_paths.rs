@@ -3,7 +3,10 @@
 //! names the offending quantity, not a generic failure.
 
 use embeddings::{EmbeddingTable, SparseBatch, TableBag};
-use scratchpipe::{Pipeline, PipelineConfig, RecoveryPolicy, Schedule, ScratchError, UnitBackend};
+use scratchpipe::{
+    stages, EvictionPolicy, Pipeline, PipelineConfig, RecoveryPolicy, Schedule, ScratchError,
+    ScratchpadManager, UnitBackend, WindowConfig,
+};
 
 fn tables(num: usize, rows: usize, dim: usize) -> Vec<EmbeddingTable> {
     (0..num)
@@ -153,4 +156,55 @@ fn supervised_rejects_zero_budget_and_zero_interval() {
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn duplicate_id_in_a_batch_is_a_typed_error() {
+    // Plan expects deduplicated IDs; a repeated ID whose first occurrence
+    // missed must be refused, not panic inside the Hit-Map.
+    let mut managers = vec![
+        ScratchpadManager::new(8, WindowConfig::PAPER, EvictionPolicy::Lru)
+            .expect("valid");
+        2
+    ];
+    let batch = SparseBatch::new(vec![
+        TableBag::from_samples(&[vec![1, 2]]),
+        TableBag::from_samples(&[vec![3, 5, 5]]),
+    ]);
+    let uniq = vec![vec![vec![1, 2], vec![3, 5, 5]]];
+    let err = stages::plan(&mut managers, &batch, &uniq, 0, 2).expect_err("duplicate");
+    assert_eq!(
+        err,
+        ScratchError::DuplicateId {
+            table: 1,
+            cycle: 1,
+            row: 5
+        }
+    );
+    assert!(err.to_string().contains("row 5 of table 1"), "{err}");
+    // The refused miss claimed nothing: row 5 keeps its first slot, and
+    // the manager goes on planning.
+    assert_eq!(managers[1].occupancy(), 2);
+    let plan = managers[1].plan(&[5, 7], &[]).expect("valid batch");
+    assert_eq!((plan.hits, plan.misses), (1, 1));
+}
+
+#[test]
+fn duplicate_id_that_would_evict_restores_the_victim() {
+    let mut m =
+        ScratchpadManager::new(2, WindowConfig::SEQUENTIAL, EvictionPolicy::Lru).expect("valid");
+    let _ = m.plan(&[1, 2], &[]).expect("fits");
+    // The first 3 evicts row 1 from slot 0; the second would evict row 2.
+    let err = m.plan(&[3, 3], &[]).expect_err("duplicate");
+    assert!(
+        matches!(err, ScratchError::DuplicateId { row: 3, .. }),
+        "{err}"
+    );
+    assert_eq!(m.lookup(3), Some(0));
+    assert_eq!(m.lookup(2), Some(1), "the would-be victim stays cached");
+    assert_eq!(m.lookup(1), None);
+    // Row 2's slot is still evictable.
+    let plan = m.plan(&[4], &[]).expect("slot 1 evictable");
+    assert_eq!(plan.evictions.len(), 1);
+    assert_eq!(plan.evictions[0].row, 2);
 }
