@@ -37,7 +37,9 @@
 //! must be at least 1. `--parallel-floor <shape>:<ratio>` then gates a
 //! shape: the check fails if that shape's `speedup_parallel_vs_sync`
 //! falls below the ratio (CI uses `medium:0.9` — data-parallel must not
-//! regress materially below sync even on narrow hosts).
+//! regress materially below sync even on narrow hosts). A floor on a
+//! shape whose `parallelism` is 1 fails too: it would compare two
+//! width-1 runs and prove nothing about data parallelism.
 //!
 //! When the audit JSONL of the same bench run is also on the command
 //! line, the dedup-accounting fields are **re-derived** from that
@@ -585,10 +587,18 @@ fn check_bench(
         Ok(b) => b,
         Err(e) => return Err(vec![format!("cannot read: {e}")]),
     };
-    let report: Value = match serde_json::from_str(&body) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("invalid JSON: {e}")]),
-    };
+    match serde_json::from_str(&body) {
+        Ok(report) => check_bench_report(&report, floors, labels),
+        Err(e) => Err(vec![format!("invalid JSON: {e}")]),
+    }
+}
+
+/// [`check_bench`] over an already parsed artifact.
+fn check_bench_report(
+    report: &Value,
+    floors: &[(String, f64)],
+    labels: &BTreeMap<String, LabelAgg>,
+) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
     let Some(Value::Seq(shapes)) = report.get("shapes") else {
         return Err(vec!["shapes: expected a sequence".to_owned()]);
@@ -608,7 +618,8 @@ fn check_bench(
             let parallel = get_f64(shape, "parallel_iters_per_sec")?;
             let sp_threaded = get_f64(shape, "speedup_threaded_vs_sync")?;
             let sp_parallel = get_f64(shape, "speedup_parallel_vs_sync")?;
-            if get_u64(shape, "parallelism")? < 1 {
+            let parallelism = get_u64(shape, "parallelism")?;
+            if parallelism < 1 {
                 return Err("parallelism below 1".to_owned());
             }
             let rel = |claimed: f64, derived: f64| {
@@ -625,7 +636,16 @@ fn check_bench(
                 ));
             }
             for (floor_shape, ratio) in floors {
-                if *floor_shape == name && sp_parallel < *ratio {
+                if *floor_shape != name {
+                    continue;
+                }
+                if parallelism == 1 {
+                    return Err(format!(
+                        "--parallel-floor {name}:{ratio} is vacuous at parallelism 1 \
+                         (the data-parallel run used a width-1 pool)"
+                    ));
+                }
+                if sp_parallel < *ratio {
                     return Err(format!(
                         "speedup_parallel_vs_sync {sp_parallel} below floor {ratio}"
                     ));
@@ -781,5 +801,47 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-shape artifact whose data-parallel run used `parallelism`
+    /// workers and ran at `speedup` × sync.
+    fn bench(parallelism: u64, speedup: f64) -> Value {
+        let body = format!(
+            r#"{{"shapes":[{{"name":"medium","sync_iters_per_sec":100.0,
+            "threaded_iters_per_sec":100.0,"parallel_iters_per_sec":{p},
+            "speedup_threaded_vs_sync":1.0,"speedup_parallel_vs_sync":{speedup},
+            "parallelism":{parallelism},"unique_lookup_ratio":0.5,
+            "bytes_staged":10,"bytes_staged_dedup":20}}]}}"#,
+            p = 100.0 * speedup,
+        );
+        serde_json::from_str(&body).expect("valid artifact")
+    }
+
+    fn floor(ratio: f64) -> Vec<(String, f64)> {
+        vec![("medium".to_owned(), ratio)]
+    }
+
+    #[test]
+    fn parallel_floor_holds_on_a_wide_pool() {
+        let labels = BTreeMap::new();
+        assert!(check_bench_report(&bench(2, 1.25), &floor(0.9), &labels).is_ok());
+        let errors =
+            check_bench_report(&bench(2, 0.5), &floor(0.9), &labels).expect_err("below the floor");
+        assert!(errors[0].contains("below floor 0.9"), "{errors:?}");
+    }
+
+    #[test]
+    fn parallel_floor_on_a_width_one_run_fails_and_names_the_width() {
+        let labels = BTreeMap::new();
+        let errors = check_bench_report(&bench(1, 1.25), &floor(0.9), &labels)
+            .expect_err("a width-1 floor proves nothing");
+        assert!(errors[0].contains("parallelism 1"), "{errors:?}");
+        // Without a floor the width-1 artifact itself is fine.
+        assert!(check_bench_report(&bench(1, 1.25), &[], &labels).is_ok());
     }
 }

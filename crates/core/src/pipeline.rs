@@ -10,8 +10,8 @@
 //!   bounded channels (the software analogue of CPU threads, DMA engines
 //!   and GPU streams running concurrently), with each stage's declared
 //!   [`StageBarrier`]s enforced as watermark waits.
-//! * [`Schedule::Sequential`] — the §IV-B straw-man: each mini-batch
-//!   passes through all five stages before the next is admitted.
+//! * [`Schedule::Sequential`] — the §IV-B straw-man: the Sync register
+//!   driver admitting a mini-batch only once every register is empty.
 //! * [`Schedule::DataParallel`] — the register pipeline with intra-stage
 //!   data parallelism: Collect, Insert and the Train gather/scatter shard
 //!   their iteration over a [`WorkerPool`]
@@ -22,7 +22,9 @@
 //!
 //! Because every schedule drives the *same* stage objects, bit-exact
 //! training and per-stage traffic parity between schedules hold by
-//! construction — the driver-equivalence suite asserts it.
+//! construction — the driver-equivalence suite asserts it. Plain
+//! [`Pipeline::run`] is the [`Pipeline::run_supervised`] body without a
+//! supervisor: one segment, no snapshots, the first error returned as is.
 //!
 //! Construction goes through [`PipelineBuilder`] (no positional
 //! constructors), and every run can emit a structured JSONL audit stream
@@ -565,31 +567,16 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// [`Schedule::Threaded`] or [`Schedule::DataParallel`] on a
     /// non-functional pipeline.
     pub fn effective_schedule(&self, batches: &[SparseBatch]) -> Result<Schedule, ScratchError> {
+        let functional = self.config.functional;
         match self.schedule {
-            Schedule::Sync => Ok(Schedule::Sync),
-            Schedule::Sequential => Ok(Schedule::Sequential),
-            Schedule::Threaded => {
-                if self.config.functional {
-                    Ok(Schedule::Threaded)
-                } else {
-                    Err(ScratchError::InvalidConfig {
-                        detail: "threaded schedule requires functional mode".to_owned(),
-                    })
-                }
-            }
-            Schedule::DataParallel => {
-                if self.config.functional {
-                    Ok(Schedule::DataParallel)
-                } else {
-                    Err(ScratchError::InvalidConfig {
-                        detail: "data-parallel schedule requires functional mode".to_owned(),
-                    })
-                }
-            }
+            Schedule::Threaded if !functional => Err(ScratchError::InvalidConfig {
+                detail: "threaded schedule requires functional mode".to_owned(),
+            }),
+            Schedule::DataParallel if !functional => Err(ScratchError::InvalidConfig {
+                detail: "data-parallel schedule requires functional mode".to_owned(),
+            }),
+            Schedule::Auto if !functional => Ok(Schedule::Sync),
             Schedule::Auto => {
-                if !self.config.functional {
-                    return Ok(Schedule::Sync);
-                }
                 let work = batches
                     .first()
                     .map_or(0, |b| b.total_lookups() as u64 * self.config.dim as u64);
@@ -601,12 +588,16 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                     Ok(Schedule::Sync)
                 }
             }
+            fixed => Ok(fixed),
         }
     }
 
     /// Runs the pipeline over `batches` under the configured schedule,
     /// then flushes the scratchpad back to the CPU tables. Emits the
     /// audit event stream if a sink is attached.
+    ///
+    /// Without a supervisor the first error returns as is, after the
+    /// faults an armed [`FaultPlan`] fired are audited.
     ///
     /// # Errors
     ///
@@ -617,150 +608,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// * [`ScratchError::InvalidConfig`] if a batch disagrees with the
     ///   pipeline shape, or the schedule is invalid for this mode.
     pub fn run(&mut self, batches: &[SparseBatch]) -> Result<PipelineReport, ScratchError> {
-        self.validate_batches(batches)?;
-        let schedule = self.effective_schedule(batches)?;
-        let n = batches.len();
-        // Sorted unique IDs per (batch, table): used by Plan, future
-        // registration and the hazard checker.
-        let uniq: Vec<Vec<Vec<u64>>> = batches
-            .iter()
-            .map(|b| b.bags().map(|(_, bag)| bag.unique_ids()).collect())
-            .collect();
-        let mut records: Vec<IterationRecord> = (0..n)
-            .map(|i| IterationRecord {
-                index: i,
-                ..IterationRecord::default()
-            })
-            .collect();
-        let mut timings: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut shard_timings: Vec<Vec<Vec<u64>>> = vec![Vec::new(); n];
-
-        self.audit
-            .run_started(schedule.name(), n, self.plan.managers().len(), &self.config);
-        let run_tel = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.begin_run(&self.name, schedule.name()));
-        let started = Instant::now();
-        let dim = self.config.dim;
-        // Plain runs are attempt 0 forever: armed faults fire raw, with
-        // no supervisor to catch them.
-        if let Some(inj) = &self.faults {
-            inj.begin_attempt(0);
-            let _ = inj.drain_log();
-        }
-        let names: Vec<&'static str>;
-        {
-            let mut stages: [&mut dyn Stage; 5] = [
-                &mut self.plan,
-                &mut self.collect,
-                &mut self.exchange,
-                &mut self.insert,
-                &mut self.train,
-            ];
-            names = stages.iter().map(|s| s.name()).collect();
-            let faults = self.faults.as_ref();
-            let telemetry = run_tel.as_ref();
-            match schedule {
-                Schedule::Sequential => drive_sequential(
-                    &mut stages,
-                    &mut self.pool,
-                    dim,
-                    WorkerPool::inline(),
-                    batches,
-                    &uniq,
-                    0..n,
-                    faults,
-                    telemetry,
-                    &mut records,
-                    &mut timings,
-                    &mut shard_timings,
-                )?,
-                Schedule::Sync => drive_sync(
-                    &mut stages,
-                    &mut self.pool,
-                    dim,
-                    WorkerPool::inline(),
-                    batches,
-                    &uniq,
-                    0..n,
-                    faults,
-                    telemetry,
-                    &mut records,
-                    &mut timings,
-                    &mut shard_timings,
-                )?,
-                // Data parallelism rides the register pipeline: the same
-                // driver, but stages see the real worker pool.
-                Schedule::DataParallel => drive_sync(
-                    &mut stages,
-                    &mut self.pool,
-                    dim,
-                    self.workers,
-                    batches,
-                    &uniq,
-                    0..n,
-                    faults,
-                    telemetry,
-                    &mut records,
-                    &mut timings,
-                    &mut shard_timings,
-                )?,
-                Schedule::Threaded => {
-                    drive_threaded(
-                        &mut stages,
-                        dim,
-                        batches,
-                        &uniq,
-                        0..n,
-                        faults,
-                        telemetry,
-                        &mut records,
-                        &mut timings,
-                        &mut shard_timings,
-                    )?;
-                }
-                Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-            }
-        }
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        if let Some(inj) = &self.faults {
-            for rec in inj.drain_log() {
-                self.audit.fault_injected(&rec);
-            }
-        }
-
-        let flush_traffic = self.flush();
-        let report = PipelineReport {
-            iterations: n,
-            records,
-            flush_traffic,
-            peak_held_slots: self
-                .plan
-                .managers()
-                .iter()
-                .map(|m| m.stats().peak_held)
-                .collect(),
-        };
-        for ((rec, nanos), shards) in report.records.iter().zip(&timings).zip(&shard_timings) {
-            self.audit.iteration(rec, &names, nanos, shards);
-        }
-        self.audit
-            .run_completed(&report, elapsed_ns, schedule.name());
-        if let Some(tel) = &run_tel {
-            let pool_width = match schedule {
-                Schedule::DataParallel => self.workers.threads(),
-                _ => 1,
-            };
-            tel.finish_run(
-                elapsed_ns,
-                n,
-                pool_width,
-                self.config.slots_per_table,
-                self.plan.managers(),
-            );
-        }
-        Ok(report)
+        self.run_body(batches, None).map(|run| run.report)
     }
 
     /// Runs the pipeline under supervision: the trace executes in
@@ -799,8 +647,23 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                     .to_owned(),
             });
         }
+        let supervisor = Supervisor {
+            policy,
+            snapshot_backend: B::clone,
+        };
+        self.run_body(batches, Some(supervisor))
+    }
+
+    /// The one run body behind [`Pipeline::run`] (no supervisor) and
+    /// [`Pipeline::run_supervised`].
+    fn run_body(
+        &mut self,
+        batches: &[SparseBatch],
+        supervisor: Option<Supervisor<B>>,
+    ) -> Result<SupervisedRun, ScratchError> {
         self.validate_batches(batches)?;
         let base = self.effective_schedule(batches)?;
+        // Without a supervisor the run never leaves rung 0.
         let ladder: Vec<Schedule> = match base {
             Schedule::DataParallel => {
                 vec![Schedule::DataParallel, Schedule::Threaded, Schedule::Sync]
@@ -809,18 +672,13 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             other => vec![other],
         };
         let n = batches.len();
+        // Sorted unique IDs per (batch, table): used by Plan, future
+        // registration and the hazard checker.
         let uniq: Vec<Vec<Vec<u64>>> = batches
             .iter()
             .map(|b| b.bags().map(|(_, bag)| bag.unique_ids()).collect())
             .collect();
-        let mut records: Vec<IterationRecord> = (0..n)
-            .map(|i| IterationRecord {
-                index: i,
-                ..IterationRecord::default()
-            })
-            .collect();
-        let mut timings: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut shard_timings: Vec<Vec<Vec<u64>>> = vec![Vec::new(); n];
+        let mut log = RunLog::new(batches, &uniq);
         let mut stats = RecoveryStats::default();
 
         self.audit.run_started(
@@ -834,189 +692,117 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             .as_ref()
             .map(|t| t.begin_run(&self.name, ladder[0].name()));
         let started = Instant::now();
-        let dim = self.config.dim;
-        let names: Vec<&'static str> = {
-            let stage_refs: [&dyn Stage; 5] = [
-                &self.plan,
-                &self.collect,
-                &self.exchange,
-                &self.insert,
-                &self.train,
-            ];
-            stage_refs.iter().map(|s| s.name()).collect()
-        };
         if let Some(inj) = &self.faults {
             let _ = inj.drain_log();
         }
-        self.shared.begin_undo();
+        if supervisor.is_some() {
+            self.shared.begin_undo();
+        }
+        let interval = supervisor
+            .as_ref()
+            .map_or(n, |sup| sup.policy.checkpoint_interval);
         let mut rung = 0usize;
         let mut seg_start = 0usize;
-        while seg_start < n {
-            let seg_end = (seg_start + policy.checkpoint_interval).min(n);
+        let mut aborted: Option<(u32, ScratchError)> = None;
+        'segments: while seg_start < n {
+            let seg_end = (seg_start + interval).min(n);
             // Cheap global snapshots; per-row pre-images ride the
             // first-touch undo log instead.
-            let managers_snapshot = self.plan.managers().to_vec();
-            let backend_snapshot = self.train.backend().clone();
+            let snapshot = supervisor.as_ref().map(|sup| {
+                (
+                    self.plan.managers().to_vec(),
+                    (sup.snapshot_backend)(self.train.backend()),
+                )
+            });
             let mut attempt: u32 = 0;
             loop {
                 if let Some(inj) = &self.faults {
                     inj.begin_attempt(attempt);
                 }
-                let result = {
-                    let mut stages: [&mut dyn Stage; 5] = [
-                        &mut self.plan,
-                        &mut self.collect,
-                        &mut self.exchange,
-                        &mut self.insert,
-                        &mut self.train,
-                    ];
-                    let faults = self.faults.as_ref();
-                    let telemetry = run_tel.as_ref();
-                    match ladder[rung] {
-                        Schedule::Sequential => drive_sequential(
-                            &mut stages,
-                            &mut self.pool,
-                            dim,
-                            WorkerPool::inline(),
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::Sync => drive_sync(
-                            &mut stages,
-                            &mut self.pool,
-                            dim,
-                            WorkerPool::inline(),
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::DataParallel => drive_sync(
-                            &mut stages,
-                            &mut self.pool,
-                            dim,
-                            self.workers,
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::Threaded => drive_threaded(
-                            &mut stages,
-                            dim,
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-                    }
-                };
+                let result = self.drive(
+                    ladder[rung],
+                    batches,
+                    &uniq,
+                    seg_start..seg_end,
+                    run_tel.as_ref(),
+                    &mut log,
+                );
                 if let Some(inj) = &self.faults {
                     for rec in inj.drain_log() {
                         stats.faults_injected += 1;
                         self.audit.fault_injected(&rec);
                     }
                 }
-                match result {
-                    Ok(()) => {
-                        self.shared.commit_undo();
-                        break;
-                    }
-                    Err(cause) => {
-                        self.shared.rollback_undo();
-                        self.plan
-                            .managers_mut()
-                            .clone_from_slice(&managers_snapshot);
-                        *self.train.backend_mut() = backend_snapshot.clone();
-                        stats.rollbacks += 1;
-                        attempt += 1;
-                        self.audit
-                            .iteration_rolled_back(seg_start, attempt, &cause.to_string());
-                        if attempt % policy.retry_budget == 0 {
-                            if rung + 1 < ladder.len() {
-                                self.audit.schedule_degraded(
-                                    seg_start,
-                                    ladder[rung].name(),
-                                    ladder[rung + 1].name(),
-                                );
-                                rung += 1;
-                                stats.degradations += 1;
-                            } else {
-                                // Ladder exhausted: flush what committed so
-                                // the tables land exactly on the last
-                                // checkpoint, then abort with provenance.
-                                self.shared.end_undo();
-                                let _ = self.flush();
-                                for ((rec, nanos), shards) in records[..seg_start]
-                                    .iter()
-                                    .zip(&timings)
-                                    .zip(&shard_timings)
-                                {
-                                    self.audit.iteration(rec, &names, nanos, shards);
-                                }
-                                self.audit.run_aborted(
-                                    seg_start,
-                                    attempt,
-                                    ladder[rung].name(),
-                                    &cause.to_string(),
-                                );
-                                if let Some(tel) = &run_tel {
-                                    publish_recovery_counters(tel, &stats, true);
-                                    let pool_width = match ladder[rung] {
-                                        Schedule::DataParallel => self.workers.threads(),
-                                        _ => 1,
-                                    };
-                                    tel.finish_run(
-                                        started.elapsed().as_nanos() as u64,
-                                        seg_start,
-                                        pool_width,
-                                        self.config.slots_per_table,
-                                        self.plan.managers(),
-                                    );
-                                }
-                                return Err(ScratchError::Aborted {
-                                    iteration: seg_start,
-                                    attempts: attempt,
-                                    schedule: ladder[rung].name().to_owned(),
-                                    cause: Box::new(cause),
-                                });
-                            }
-                        } else {
-                            stats.retries += 1;
-                            self.audit
-                                .stage_retried(seg_start, attempt, ladder[rung].name());
-                        }
-                    }
+                let Err(cause) = result else { break };
+                let (Some(sup), Some((managers, backend))) = (&supervisor, &snapshot) else {
+                    return Err(cause);
+                };
+                self.shared.rollback_undo();
+                self.plan.managers_mut().clone_from_slice(managers);
+                *self.train.backend_mut() = (sup.snapshot_backend)(backend);
+                stats.rollbacks += 1;
+                attempt += 1;
+                self.audit
+                    .iteration_rolled_back(seg_start, attempt, &cause.to_string());
+                if attempt % sup.policy.retry_budget != 0 {
+                    stats.retries += 1;
+                    self.audit
+                        .stage_retried(seg_start, attempt, ladder[rung].name());
+                } else if rung + 1 < ladder.len() {
+                    self.audit.schedule_degraded(
+                        seg_start,
+                        ladder[rung].name(),
+                        ladder[rung + 1].name(),
+                    );
+                    rung += 1;
+                    stats.degradations += 1;
+                } else {
+                    aborted = Some((attempt, cause));
+                    break 'segments;
                 }
+            }
+            if supervisor.is_some() {
+                self.shared.commit_undo();
             }
             seg_start = seg_end;
         }
-        self.shared.end_undo();
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
 
+        // `seg_start` is now the committed prefix: the whole trace, or
+        // everything before the segment that exhausted the ladder. The
+        // flush lands an aborted run's tables exactly on that checkpoint.
+        if supervisor.is_some() {
+            self.shared.end_undo();
+        }
+        let elapsed_ns = started.elapsed().as_nanos() as u64;
+        let schedule = ladder[rung];
         let flush_traffic = self.flush();
+        let names = self.stage_names();
+        log.audit(&mut self.audit, &names, seg_start);
+        if let Some(tel) = &run_tel {
+            if supervisor.is_some() {
+                publish_recovery_counters(tel, &stats, aborted.is_some());
+            }
+            tel.finish_run(
+                elapsed_ns,
+                seg_start,
+                self.workers_for(schedule).threads(),
+                self.config.slots_per_table,
+                self.plan.managers(),
+            );
+        }
+        if let Some((attempts, cause)) = aborted {
+            self.audit
+                .run_aborted(seg_start, attempts, schedule.name(), &cause.to_string());
+            return Err(ScratchError::Aborted {
+                iteration: seg_start,
+                attempts,
+                schedule: schedule.name().to_owned(),
+                cause: Box::new(cause),
+            });
+        }
         let report = PipelineReport {
             iterations: n,
-            records,
+            records: log.records,
             flush_traffic,
             peak_held_slots: self
                 .plan
@@ -1025,27 +811,69 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 .map(|m| m.stats().peak_held)
                 .collect(),
         };
-        for ((rec, nanos), shards) in report.records.iter().zip(&timings).zip(&shard_timings) {
-            self.audit.iteration(rec, &names, nanos, shards);
-        }
         self.audit
-            .run_completed(&report, elapsed_ns, ladder[rung].name());
-        if let Some(tel) = &run_tel {
-            publish_recovery_counters(tel, &stats, false);
-            let pool_width = match ladder[rung] {
-                Schedule::DataParallel => self.workers.threads(),
-                _ => 1,
-            };
-            tel.finish_run(
-                elapsed_ns,
-                n,
-                pool_width,
-                self.config.slots_per_table,
-                self.plan.managers(),
-            );
-        }
-        stats.final_schedule = Some(ladder[rung]);
+            .run_completed(&report, elapsed_ns, schedule.name());
+        stats.final_schedule = Some(schedule);
         Ok(SupervisedRun { report, stats })
+    }
+
+    /// Drives `range` of the trace under `schedule` — [`drive_sync`] for
+    /// Sync, Sequential and DataParallel, [`drive_threaded`] for Threaded
+    /// — retiring every finished iteration into `log`.
+    fn drive(
+        &mut self,
+        schedule: Schedule,
+        batches: &[SparseBatch],
+        uniq: &[Vec<Vec<u64>>],
+        range: Range<usize>,
+        telemetry: Option<&RunTelemetry>,
+        log: &mut RunLog,
+    ) -> Result<(), ScratchError> {
+        let ctx = DriveCtx {
+            batches,
+            uniq,
+            range,
+            dim: self.config.dim,
+            workers: self.workers_for(schedule),
+            pipelined: schedule != Schedule::Sequential,
+            faults: self.faults.as_ref(),
+            telemetry,
+        };
+        let mut stages: [&mut dyn Stage; 5] = [
+            &mut self.plan,
+            &mut self.collect,
+            &mut self.exchange,
+            &mut self.insert,
+            &mut self.train,
+        ];
+        match schedule {
+            Schedule::Sync | Schedule::Sequential | Schedule::DataParallel => {
+                drive_sync(&mut stages, &mut self.pool, &ctx, log)
+            }
+            Schedule::Threaded => drive_threaded(&mut stages, &ctx, log),
+            Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
+        }
+    }
+
+    /// The worker pool `schedule`'s stages shard over: data parallelism
+    /// rides the register pipeline with the configured pool, every other
+    /// schedule runs its shards inline.
+    fn workers_for(&self, schedule: Schedule) -> WorkerPool {
+        match schedule {
+            Schedule::DataParallel => self.workers,
+            _ => WorkerPool::inline(),
+        }
+    }
+
+    /// Stage names in register order, as the audit stream keys timings.
+    fn stage_names(&self) -> [&'static str; 5] {
+        [
+            self.plan.name(),
+            self.collect.name(),
+            self.exchange.name(),
+            self.insert.name(),
+            self.train.name(),
+        ]
     }
 
     /// Writes every resident scratchpad row back to its CPU table and
@@ -1104,6 +932,14 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     }
 }
 
+/// What [`Pipeline::run_supervised`] adds to the shared run body.
+struct Supervisor<B> {
+    policy: RecoveryPolicy,
+    /// `B::clone`, handed in as a function so that only the supervised
+    /// entry point needs `B: Clone`.
+    snapshot_backend: fn(&B) -> B,
+}
+
 /// Publishes the supervisor's [`RecoveryStats`] as run-labelled absolute
 /// counters, once, at run end — which is exactly what makes them equal
 /// the audit stream's fault/recovery event counts.
@@ -1115,21 +951,89 @@ fn publish_recovery_counters(tel: &RunTelemetry, stats: &RecoveryStats, aborted:
     tel.set_run_counter("sp_recovery_aborts_total", u64::from(aborted));
 }
 
-/// Fills one finished iteration's record from its retired payload.
-fn finalize_record(
-    rec: &mut IterationRecord,
-    p: &StagePayload,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
-) {
-    rec.index = p.index;
-    rec.hits = p.plans.iter().map(|t| t.hits).sum();
-    rec.misses = p.plans.iter().map(|t| t.misses).sum();
-    rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
-    rec.total_lookups = batches[p.index].total_lookups() as u64;
-    rec.unique_rows = uniq[p.index].iter().map(|u| u.len() as u64).sum();
-    rec.loss = p.loss;
-    rec.traffic = p.traffic;
+/// Everything a driver reads: one segment of the trace plus what each
+/// [`StageCtx`] is built from.
+struct DriveCtx<'a> {
+    batches: &'a [SparseBatch],
+    uniq: &'a [Vec<Vec<u64>>],
+    range: Range<usize>,
+    dim: usize,
+    workers: WorkerPool,
+    /// `false` only for the sequential straw-man, which also gates
+    /// admission on an empty register file.
+    pipelined: bool,
+    faults: Option<&'a FaultInjector>,
+    telemetry: Option<&'a RunTelemetry>,
+}
+
+impl<'a> DriveCtx<'a> {
+    fn stage(&self, index: usize, lane: Lane) -> StageCtx<'a> {
+        StageCtx {
+            batches: self.batches,
+            uniq: self.uniq,
+            index,
+            pipelined: self.pipelined,
+            workers: self.workers,
+            faults: self.faults,
+            telemetry: self.telemetry,
+            lane,
+        }
+    }
+}
+
+/// Everything a driver writes: per iteration, the record plus the stage
+/// and shard timing trails the audit stream reports.
+struct RunLog {
+    records: Vec<IterationRecord>,
+    timings: Vec<Vec<u64>>,
+    shard_timings: Vec<Vec<Vec<u64>>>,
+}
+
+impl RunLog {
+    /// Records pre-filled with what the trace alone determines.
+    fn new(batches: &[SparseBatch], uniq: &[Vec<Vec<u64>>]) -> Self {
+        let n = batches.len();
+        RunLog {
+            records: batches
+                .iter()
+                .zip(uniq)
+                .enumerate()
+                .map(|(index, (b, u))| IterationRecord {
+                    index,
+                    total_lookups: b.total_lookups() as u64,
+                    unique_rows: u.iter().map(|ids| ids.len() as u64).sum(),
+                    ..IterationRecord::default()
+                })
+                .collect(),
+            timings: vec![Vec::new(); n],
+            shard_timings: vec![Vec::new(); n],
+        }
+    }
+
+    /// Files a payload that left the last stage: its cache counts, loss
+    /// and traffic into the record, its timing trails into the log.
+    fn retire(&mut self, p: &mut StagePayload) {
+        let rec = &mut self.records[p.index];
+        rec.hits = p.plans.iter().map(|t| t.hits).sum();
+        rec.misses = p.plans.iter().map(|t| t.misses).sum();
+        rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
+        rec.loss = p.loss;
+        rec.traffic = p.traffic;
+        self.timings[p.index] = std::mem::take(&mut p.stage_nanos);
+        self.shard_timings[p.index] = std::mem::take(&mut p.stage_shards);
+    }
+
+    /// Emits the `iteration` events of the first `committed` iterations.
+    fn audit(&self, audit: &mut AuditEmitter, names: &[&str], committed: usize) {
+        let entries = self
+            .records
+            .iter()
+            .zip(&self.timings)
+            .zip(&self.shard_timings);
+        for ((rec, nanos), shards) in entries.take(committed) {
+            audit.iteration(rec, names, nanos, shards);
+        }
+    }
 }
 
 /// Executes `stage` on `payload`, appending the wall-clock nanoseconds to
@@ -1175,110 +1079,43 @@ fn timed_execute(
     Ok(())
 }
 
-/// The straw-man schedule: every batch runs all stages to completion
-/// before the next is admitted (`pipelined = false`, so victim-safety
-/// distances don't apply).
-#[allow(clippy::too_many_arguments)]
-fn drive_sequential(
-    stages: &mut [&mut dyn Stage],
-    pool: &mut PayloadPool,
-    dim: usize,
-    workers: WorkerPool,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
-    range: Range<usize>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&RunTelemetry>,
-    records: &mut [IterationRecord],
-    timings: &mut [Vec<u64>],
-    shard_timings: &mut [Vec<Vec<u64>>],
-) -> Result<(), ScratchError> {
-    for i in range {
-        let ctx = StageCtx {
-            batches,
-            uniq,
-            index: i,
-            pipelined: false,
-            workers,
-            faults,
-            telemetry,
-            lane: Lane::Main,
-        };
-        let mut p = pool.take(dim);
-        for stage in stages.iter_mut() {
-            timed_execute(*stage, &ctx, &mut p)?;
-        }
-        finalize_record(&mut records[i], &p, batches, uniq);
-        timings[i] = std::mem::take(&mut p.stage_nanos);
-        shard_timings[i] = std::mem::take(&mut p.stage_shards);
-        pool.release(p);
-    }
-    Ok(())
-}
-
-/// The synchronous register pipeline (paper Fig. 10): each cycle consumes
-/// the stage registers in reverse order — so at steady state stage `s`
-/// processes batch `c - s` in cycle `c` — then admits the next batch at
-/// \[Plan\]. Implicitly satisfies every [`StageBarrier`].
-#[allow(clippy::too_many_arguments)]
+/// The register pipeline (paper Fig. 10): each cycle consumes the stage
+/// registers in reverse order — so at steady state stage `s` processes
+/// batch `c - s` in cycle `c` — then admits the next batch at \[Plan\].
+/// Implicitly satisfies every [`StageBarrier`].
+///
+/// Serves Sync, DataParallel (the same cycles over a wider pool) and the
+/// Sequential straw-man, which admits a batch only once every register is
+/// empty: each batch leaves \[Train\] before the next enters \[Plan\].
 fn drive_sync(
     stages: &mut [&mut dyn Stage],
     pool: &mut PayloadPool,
-    dim: usize,
-    workers: WorkerPool,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
-    range: Range<usize>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&RunTelemetry>,
-    records: &mut [IterationRecord],
-    timings: &mut [Vec<u64>],
-    shard_timings: &mut [Vec<Vec<u64>>],
+    ctx: &DriveCtx<'_>,
+    log: &mut RunLog,
 ) -> Result<(), ScratchError> {
     let k = stages.len();
     // regs[s] holds the payload that stage s produced last cycle.
     let mut regs: Vec<Option<StagePayload>> = (0..k).map(|_| None).collect();
-    let mut next = range.start;
+    let mut next = ctx.range.start;
     loop {
         for s in (1..k).rev() {
             if let Some(mut p) = regs[s - 1].take() {
-                let ctx = StageCtx {
-                    batches,
-                    uniq,
-                    index: p.index,
-                    pipelined: true,
-                    workers,
-                    faults,
-                    telemetry,
-                    lane: Lane::Main,
-                };
-                timed_execute(stages[s], &ctx, &mut p)?;
+                timed_execute(stages[s], &ctx.stage(p.index, Lane::Main), &mut p)?;
                 if s == k - 1 {
-                    finalize_record(&mut records[p.index], &p, batches, uniq);
-                    timings[p.index] = std::mem::take(&mut p.stage_nanos);
-                    shard_timings[p.index] = std::mem::take(&mut p.stage_shards);
+                    log.retire(&mut p);
                     pool.release(p);
                 } else {
                     regs[s] = Some(p);
                 }
             }
         }
-        if next < range.end {
-            let ctx = StageCtx {
-                batches,
-                uniq,
-                index: next,
-                pipelined: true,
-                workers,
-                faults,
-                telemetry,
-                lane: Lane::Main,
-            };
-            let mut p = pool.take(dim);
-            timed_execute(stages[0], &ctx, &mut p)?;
+        let drained = regs.iter().all(Option::is_none);
+        if next < ctx.range.end && (ctx.pipelined || drained) {
+            let mut p = pool.take(ctx.dim);
+            timed_execute(stages[0], &ctx.stage(next, Lane::Main), &mut p)?;
             regs[0] = Some(p);
             next += 1;
-        } else if regs.iter().all(Option::is_none) {
+        } else if drained {
             break;
         }
     }
@@ -1293,18 +1130,10 @@ fn drive_sync(
 ///
 /// Any stage error is stored (first wins) and shuts the pipeline down
 /// through channel disconnection.
-#[allow(clippy::too_many_arguments)]
 fn drive_threaded(
     stages: &mut [&mut dyn Stage],
-    dim: usize,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
-    range: Range<usize>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&RunTelemetry>,
-    records: &mut [IterationRecord],
-    timings: &mut [Vec<u64>],
-    shard_timings: &mut [Vec<Vec<u64>>],
+    ctx: &DriveCtx<'_>,
+    log: &mut RunLog,
 ) -> Result<(), ScratchError> {
     let k = stages.len();
     assert!(k >= 2, "threaded schedule needs at least two stages");
@@ -1345,17 +1174,16 @@ fn drive_threaded(
     }
     let (recycle_tx, recycle_rx) = unbounded::<StagePayload>();
 
-    let error: Arc<Mutex<Option<ScratchError>>> = Arc::new(Mutex::new(None));
-    let store_error = |slot: &Arc<Mutex<Option<ScratchError>>>, e: ScratchError| {
-        let mut guard = slot.lock();
-        if guard.is_none() {
-            *guard = Some(e);
-        }
+    // The first stage error wins; later ones are consequences of it.
+    let error: Mutex<Option<ScratchError>> = Mutex::new(None);
+    let store_error = |e: ScratchError| {
+        error.lock().get_or_insert(e);
     };
 
-    let watermark_floor = range.start as i64 - 1;
+    let telemetry = ctx.telemetry;
+    let watermark_floor = ctx.range.start as i64 - 1;
     std::thread::scope(|scope| {
-        let mut sink = Some((records, timings, shard_timings));
+        let mut sink = Some(log);
         let mut recycle_rx = Some(recycle_rx);
         let mut recycle_tx = Some(recycle_tx);
         let stage_iter = stages
@@ -1366,140 +1194,97 @@ fn drive_threaded(
             .zip(signals)
             .enumerate();
         for (s, ((((stage, rx), tx), stage_waits), stage_signals)) in stage_iter {
-            let err_slot = Arc::clone(&error);
             // Copy the downstream stage's name out of `names` so the
             // `move` closure captures one `&'static str`, not the Vec.
             let downstream = (s + 1 < k).then(|| names[s + 1]);
             let lane = Lane::Stage(s as u8);
-            if s == 0 {
-                // First stage: source loop over the trace, reusing
-                // recycled payloads.
-                let recycle_rx = recycle_rx.take().expect("one source stage");
-                let tx = tx.expect("source stage has a downstream");
-                let range = range.clone();
-                scope.spawn(move || {
-                    for i in range {
-                        // An empty recycle path just mints a payload; a
-                        // disconnected one means the sink died early and
-                        // must surface as an explicit error, not silent
-                        // fresh-payload churn.
-                        let mut p = match recycle_rx.try_recv() {
-                            Ok(p) => p,
-                            Err(TryRecvError::Empty) => StagePayload::new(dim),
-                            Err(TryRecvError::Disconnected) => {
-                                store_error(
-                                    &err_slot,
-                                    ScratchError::ChannelDisconnected {
-                                        stage: stage.name().to_owned(),
-                                    },
-                                );
-                                return;
-                            }
-                        };
-                        let ctx = StageCtx {
-                            batches,
-                            uniq,
-                            index: i,
-                            pipelined: true,
-                            workers: WorkerPool::inline(),
-                            faults,
-                            telemetry,
-                            lane,
-                        };
-                        if let Err(e) = timed_execute(*stage, &ctx, &mut p) {
-                            store_error(&err_slot, e);
-                            return;
-                        }
-                        if tx.send(p).is_err() {
-                            return;
-                        }
-                        if let (Some(tel), Some(receiver)) = (telemetry, downstream) {
-                            tel.channel_depth(receiver, tx.len() as u64);
-                        }
-                        for sig in &stage_signals {
-                            let _ = sig.send(i);
-                        }
-                    }
-                });
+            // The first stage sources the trace, reusing the payloads the
+            // last stage retires into the log and recycles.
+            let recycled = if s == 0 { recycle_rx.take() } else { None };
+            let (mut log, recycle) = if s == k - 1 {
+                (sink.take(), recycle_tx.take())
             } else {
-                let rx = rx.expect("non-source stage has an upstream");
-                let last_sink = if s == k - 1 { sink.take() } else { None };
-                let recycle = if s == k - 1 { recycle_tx.take() } else { None };
-                scope.spawn(move || {
-                    let mut last_sink = last_sink;
-                    // Batches before the driven range committed in earlier
-                    // segments, so their watermarks are already satisfied.
-                    let mut done: Vec<i64> = vec![watermark_floor; stage_waits.len()];
-                    for mut p in rx.iter() {
-                        let i = p.index;
-                        for (w, (wrx, lag, watched)) in stage_waits.iter().enumerate() {
-                            if done[w] >= i as i64 - lag {
-                                continue;
-                            }
-                            // Only waits that actually block become stall
-                            // spans — a satisfied watermark costs nothing.
-                            let stall_start = telemetry.map(RunTelemetry::now_ns);
-                            while done[w] < i as i64 - lag {
-                                match wrx.recv() {
-                                    Ok(completed) => done[w] = completed as i64,
-                                    Err(_) => return,
+                (None, None)
+            };
+            scope.spawn(move || {
+                let mut trace = ctx.range.clone();
+                // Batches before the driven range committed in earlier
+                // segments, so their watermarks are already satisfied.
+                let mut done: Vec<i64> = vec![watermark_floor; stage_waits.len()];
+                loop {
+                    let (i, mut p) = match (&rx, &recycled) {
+                        (Some(rx), _) => match rx.recv() {
+                            Ok(p) => (p.index, p),
+                            Err(_) => return,
+                        },
+                        (None, Some(recycled)) => {
+                            let Some(i) = trace.next() else { return };
+                            // An empty recycle path just mints a payload; a
+                            // disconnected one means the sink died early and
+                            // must surface as an explicit error, not silent
+                            // fresh-payload churn.
+                            match recycled.try_recv() {
+                                Ok(p) => (i, p),
+                                Err(TryRecvError::Empty) => (i, StagePayload::new(ctx.dim)),
+                                Err(TryRecvError::Disconnected) => {
+                                    store_error(ScratchError::ChannelDisconnected {
+                                        stage: stage.name().to_owned(),
+                                    });
+                                    return;
                                 }
                             }
-                            if let (Some(tel), Some(start)) = (telemetry, stall_start) {
-                                tel.barrier_stall(lane, i, stage.name(), watched, start);
+                        }
+                        (None, None) => unreachable!("every stage has an input"),
+                    };
+                    for (w, (wrx, lag, watched)) in stage_waits.iter().enumerate() {
+                        if done[w] >= i as i64 - lag {
+                            continue;
+                        }
+                        // Only waits that actually block become stall
+                        // spans — a satisfied watermark costs nothing.
+                        let stall_start = telemetry.map(RunTelemetry::now_ns);
+                        while done[w] < i as i64 - lag {
+                            match wrx.recv() {
+                                Ok(completed) => done[w] = completed as i64,
+                                Err(_) => return,
                             }
                         }
-                        let ctx = StageCtx {
-                            batches,
-                            uniq,
-                            index: i,
-                            pipelined: true,
-                            workers: WorkerPool::inline(),
-                            faults,
-                            telemetry,
-                            lane,
-                        };
-                        if let Err(e) = timed_execute(*stage, &ctx, &mut p) {
-                            store_error(&err_slot, e);
-                            return;
+                        if let (Some(tel), Some(start)) = (telemetry, stall_start) {
+                            tel.barrier_stall(lane, i, stage.name(), watched, start);
                         }
-                        if let Some(tx) = &tx {
+                    }
+                    if let Err(e) = timed_execute(*stage, &ctx.stage(i, lane), &mut p) {
+                        store_error(e);
+                        return;
+                    }
+                    let retired = match &tx {
+                        Some(tx) => {
                             if tx.send(p).is_err() {
                                 return;
                             }
                             if let (Some(tel), Some(receiver)) = (telemetry, downstream) {
                                 tel.channel_depth(receiver, tx.len() as u64);
                             }
-                            for sig in &stage_signals {
-                                let _ = sig.send(i);
-                            }
-                        } else {
-                            // Sink stage: retire the payload.
-                            let (records, timings, shard_timings) =
-                                last_sink.as_mut().expect("one sink stage");
-                            finalize_record(&mut records[i], &p, batches, uniq);
-                            timings[i] = std::mem::take(&mut p.stage_nanos);
-                            shard_timings[i] = std::mem::take(&mut p.stage_shards);
-                            for sig in &stage_signals {
-                                let _ = sig.send(i);
-                            }
-                            if let Some(recycle) = &recycle {
-                                let _ = recycle.send(p);
-                            }
+                            None
                         }
+                        None => {
+                            log.as_mut().expect("one sink stage").retire(&mut p);
+                            Some(p)
+                        }
+                    };
+                    for sig in &stage_signals {
+                        let _ = sig.send(i);
                     }
-                });
-            }
+                    if let (Some(recycle), Some(p)) = (&recycle, retired) {
+                        let _ = recycle.send(p);
+                    }
+                }
+            });
         }
     });
 
-    // All stage threads joined at scope exit; take the first stored error
-    // without assuming exclusive ownership of the slot.
-    let first = error.lock().take();
-    match first {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    // All stage threads joined at scope exit.
+    error.into_inner().map_or(Ok(()), Err)
 }
 
 #[cfg(test)]

@@ -286,6 +286,48 @@ fn aborted_run_audits_committed_iterations_and_run_aborted() {
 }
 
 #[test]
+fn failed_plain_run_audits_the_fault_that_killed_it() {
+    let plan = FaultPlan::new(vec![fault(3, "Collect", 0, FaultKind::StageError, 1)]);
+    for schedule in [Schedule::Sync, Schedule::Threaded, Schedule::Sequential] {
+        let sink = MemorySink::new();
+        let mut rt = build(schedule, 1, Some(plan.clone()), Some(sink.clone()));
+        let err = rt.run(&trace()).expect_err("plain runs do not retry");
+        assert_eq!(
+            err,
+            ScratchError::Injected {
+                iteration: 3,
+                stage: "Collect".to_owned(),
+            },
+            "{schedule:?}: the fault surfaces raw"
+        );
+        let events: Vec<Value> = sink
+            .lines()
+            .iter()
+            .map(|l| serde_json::from_str(l).expect("parse"))
+            .collect();
+        let kinds: Vec<&str> = events
+            .iter()
+            .map(|e| match e.get("event") {
+                Some(Value::Str(k)) => k.as_str(),
+                other => panic!("missing event kind: {other:?}"),
+            })
+            .collect();
+        // No iteration events and no terminal event: the stream stays
+        // unterminated, so readers still see a run that did not complete.
+        assert_eq!(
+            kinds,
+            ["run_started", "fault_injected"],
+            "{schedule:?}: audit stream"
+        );
+        let injected = &events[1];
+        assert!(matches!(injected.get("iteration"), Some(Value::UInt(3))));
+        assert!(matches!(injected.get("attempt"), Some(Value::UInt(0))));
+        assert!(matches!(injected.get("stage"), Some(Value::Str(s)) if s == "Collect"));
+        assert!(matches!(injected.get("kind"), Some(Value::Str(s)) if s == "stage_error"));
+    }
+}
+
+#[test]
 fn seeded_plans_replay_identically() {
     let plan = FaultPlan::seeded(0xFEED, N, 4);
     let round_trip = FaultPlan::from_json(&plan.to_json()).expect("round trip");

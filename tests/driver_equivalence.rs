@@ -2,9 +2,9 @@
 //!
 //! The [`Pipeline`] drives the same five [`Stage`](scratchpipe::Stage)
 //! implementors under every [`Schedule`]; this suite pins down that the
-//! synchronous register schedule, the per-stage-thread schedule and the
-//! intra-stage data-parallel schedule are
-//! observably *identical*: bit-identical tables, and
+//! synchronous register schedule, the per-stage-thread schedule, the
+//! intra-stage data-parallel schedule and the unpipelined sequential
+//! straw-man are observably *identical*: bit-identical tables, and
 //! [`PipelineReport`]s whose JSON serializations match byte-for-byte
 //! (records, losses, per-stage traffic, flush traffic, peak held slots).
 //!
@@ -74,7 +74,11 @@ fn sync_and_threaded_schedules_agree_on_tables_and_reports() {
             (report, rt.into_tables())
         };
         let (sync_report, sync_tables) = run(Schedule::Sync);
-        for schedule in [Schedule::Threaded, Schedule::DataParallel] {
+        for schedule in [
+            Schedule::Threaded,
+            Schedule::DataParallel,
+            Schedule::Sequential,
+        ] {
             let (other_report, other_tables) = run(schedule);
             for (t, (a, b)) in sync_tables.iter().zip(&other_tables).enumerate() {
                 assert!(

@@ -69,7 +69,12 @@ proptest! {
     /// whatever the machine was doing between the two runs.
     #[test]
     fn digest_is_seed_deterministic_at_every_width(seed in 0u64..1_000) {
-        for schedule in [Schedule::Sync, Schedule::Threaded, Schedule::DataParallel] {
+        for schedule in [
+            Schedule::Sync,
+            Schedule::Threaded,
+            Schedule::DataParallel,
+            Schedule::Sequential,
+        ] {
             for width in [1usize, 2, 4] {
                 let label = format!("det-{}-w{width}", schedule.name());
                 let (a, _) = run_once(seed, schedule, width, &label);
